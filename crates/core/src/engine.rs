@@ -123,11 +123,12 @@ impl PendingRelease {
 ///
 /// ## Mutation and scoped invalidation
 ///
-/// The database is mutable through [`PrivateEngine::insert_tuple`] /
-/// [`PrivateEngine::remove_tuple`]. Each residual-sensitivity release
-/// evaluates its `T` family against an engine-owned [`FamilyCache`] keyed
-/// by the query, so repeated releases of the same query shape skip factor
-/// building and residual evaluation entirely.
+/// The database is mutable through one path, [`PrivateEngine::mutate`],
+/// which [`PrivateEngine::insert_tuple`] and friends wrap. Each
+/// residual-sensitivity release evaluates its `T` family against an
+/// engine-owned [`FamilyCache`] keyed by the query, so repeated releases
+/// of the same query shape skip factor building and residual evaluation
+/// entirely.
 ///
 /// Invalidation is scoped by **per-relation version vectors** (see
 /// `dpcq_relation::version`). Every release-relevant cached artifact is a
@@ -428,58 +429,85 @@ impl PrivateEngine {
     }
 
     /// Inserts a tuple into `relation` (created at the row's arity if
-    /// absent). Returns `true` if the tuple was new; an effective insert
-    /// bumps `relation`'s version and routes the evaluation caches whose
-    /// read set contains `relation` through delta maintenance.
+    /// absent): [`PrivateEngine::mutate`] on a batch of one, with no
+    /// write-ahead hook. Returns `true` if the tuple was new; a refused
+    /// tuple (wrong arity, or zero-width) changes nothing and returns
+    /// `false`.
     pub fn insert_tuple(&mut self, relation: &str, row: &[Value]) -> bool {
-        self.insert_tuples(relation, std::slice::from_ref(&row.to_vec())) == 1
+        self.insert_tuples(relation, &[row.to_vec()]) == 1
     }
 
-    /// Removes a tuple from `relation`. Returns `true` if it was present;
-    /// an effective removal bumps `relation`'s version and routes the
-    /// evaluation caches whose read set contains `relation` through delta
-    /// maintenance.
+    /// Removes a tuple from `relation`: [`PrivateEngine::mutate`] on a
+    /// batch of one, with no write-ahead hook. Returns `true` if it was
+    /// present.
     pub fn remove_tuple(&mut self, relation: &str, row: &[Value]) -> bool {
-        self.remove_tuples(relation, std::slice::from_ref(&row.to_vec())) == 1
+        self.remove_tuples(relation, &[row.to_vec()]) == 1
     }
 
-    /// Inserts a batch of tuples into `relation` under **one** cache
-    /// maintenance pass: N tuples cost one semi-naive delta per dirty
-    /// shape instead of N. Returns the number of *effective* inserts
-    /// (tuples not already present, after deduplicating the batch);
-    /// `relation`'s version advances by that count, so read-set stamps
-    /// agree with N repeated single inserts.
+    /// Inserts a batch of tuples into `relation`: [`PrivateEngine::mutate`]
+    /// with no write-ahead hook. Returns the number of *effective*
+    /// inserts; a refused batch (empty, or an arity mismatch) changes
+    /// nothing and counts 0.
     pub fn insert_tuples(&mut self, relation: &str, rows: &[Vec<Value>]) -> usize {
-        self.mutate_batch(relation, rows, true)
+        self.mutate(relation, rows, true, |_| Ok(())).unwrap_or(0)
     }
 
-    /// Removes a batch of tuples from `relation` under one cache
-    /// maintenance pass. Returns the number of effective removals
-    /// (tuples actually present, after deduplicating the batch).
+    /// Removes a batch of tuples from `relation`: [`PrivateEngine::mutate`]
+    /// with no write-ahead hook. Returns the number of effective
+    /// removals; a refused batch counts 0.
     pub fn remove_tuples(&mut self, relation: &str, rows: &[Vec<Value>]) -> usize {
-        self.mutate_batch(relation, rows, false)
+        self.mutate(relation, rows, false, |_| Ok(())).unwrap_or(0)
     }
 
-    fn mutate_batch(&mut self, relation: &str, rows: &[Vec<Value>], insert: bool) -> usize {
-        // Deduplicate (preserving order) and keep only effective tuples:
-        // the delta pass must see exactly the rows whose multiplicity
+    /// The one mutation path: applies `rows` to `relation` (all inserted,
+    /// or all removed) under **one** cache maintenance pass, so N tuples
+    /// cost one semi-naive delta per dirty shape instead of N.
+    ///
+    /// The batch is refused with an error message, changing nothing, when
+    /// it is empty (or its tuples are zero-width) or a row's length
+    /// differs from the relation's arity (the stored one, or the first
+    /// row's when the relation is absent). Otherwise it is deduplicated
+    /// and its no-op tuples (inserts already present, removals absent)
+    /// dropped; the remaining *effective* rows, in batch order, go to
+    /// `log` first — a write-ahead hook — and are applied only if it
+    /// returns `Ok` (its error is returned as is). Returns the effective
+    /// count: `relation`'s version advances by exactly that much, so
+    /// read-set stamps agree with the same tuples mutated one at a time.
+    /// `log` is not called when nothing is effective.
+    pub fn mutate(
+        &mut self,
+        relation: &str,
+        rows: &[Vec<Value>],
+        insert: bool,
+        log: impl FnOnce(&[Vec<Value>]) -> Result<(), String>,
+    ) -> Result<usize, String> {
+        let stored = self.db.relation(relation);
+        let arity = stored.map_or_else(|| rows.first().map_or(0, Vec::len), |rel| rel.arity());
+        if rows.is_empty() || arity == 0 {
+            // The wire parser's wording for the same refusal.
+            return Err("`tuples` must be non-empty".into());
+        }
+        if let Some(bad) = rows.iter().find(|row| row.len() != arity) {
+            return Err(format!(
+                "arity mismatch: `{relation}` stores {arity}-tuples, got {}",
+                bad.len()
+            ));
+        }
+        // The delta pass must see exactly the rows whose multiplicity
         // changes, or a re-insert of a present tuple would double-count.
-        let mut effective: Vec<Vec<Value>> = Vec::new();
-        for row in rows {
-            if effective.iter().any(|r| r == row) {
-                continue;
-            }
-            let present = self
-                .db
-                .relation(relation)
-                .is_some_and(|rel| rel.contains(row));
-            if insert != present {
-                effective.push(row.clone());
-            }
-        }
+        // Rows come from clients: keep the default (keyed) hasher.
+        let mut seen = std::collections::HashSet::new();
+        let effective: Vec<Vec<Value>> = rows
+            .iter()
+            .filter(|row| {
+                seen.insert(row.as_slice()) && insert != stored.is_some_and(|rel| rel.contains(row))
+            })
+            .cloned()
+            .collect();
         if effective.is_empty() {
-            return 0;
+            return Ok(0);
         }
+        log(&effective)?;
 
         // Pre-mutation stamps of the dirty shapes: a cache may only be
         // patched forward from a state it is currently valid for.
@@ -491,18 +519,15 @@ impl PrivateEngine {
                 .map(|(k, e)| (k.clone(), self.stamp_over(e.read_set.clone())))
                 .collect()
         };
-
         for row in &effective {
-            let changed = if insert {
-                self.db.insert_tuple(relation, row)
+            if insert {
+                self.db.insert_tuple(relation, row);
             } else {
-                self.db.remove_tuple(relation, row)
-            };
-            debug_assert!(changed, "effectiveness was pre-checked");
+                self.db.remove_tuple(relation, row);
+            }
         }
-
         self.absorb_mutation(relation, &effective, insert, &pre);
-        effective.len()
+        Ok(effective.len())
     }
 
     /// `relation` changed by `tuples` (all inserted or all removed):

@@ -14,10 +14,17 @@
 //!   survive, or neither does — there is no window where budget was paid
 //!   but the published answer is lost (which would force a second,
 //!   privacy-degrading noise draw for the same query).
-//! * [`DurableRecord::Mutation`] — one *effective* tuple insert/remove.
-//!   No-op mutations are not logged, so replay performs exactly the
-//!   version bumps the crashed instance performed and version stamps —
-//!   hence release-cache keys — are reproduced bit-for-bit.
+//! * [`DurableRecord::BatchMutation`] — one mutation, single-tuple or
+//!   batch: its *effective* tuples only (deduplicated, no-ops dropped,
+//!   as decided by `PrivateEngine::mutate`). No-op mutations are not
+//!   logged, so replay performs exactly the version bumps the crashed
+//!   instance performed and version stamps — hence release-cache keys —
+//!   are reproduced bit-for-bit.
+//!
+//! Tag 2, the single-tuple mutation record older servers wrote, is
+//! decode-only: it reads back as a one-tuple `BatchMutation`, which
+//! replays through the same engine path, so existing data directories
+//! recover unchanged.
 //!
 //! Reservations and refunds stay in-memory: a reservation that never
 //! committed produced no output, so dropping it at a crash *is* the
@@ -55,6 +62,7 @@ const SNAPSHOT_MAGIC: &[u8; 8] = b"DPCQSNAP";
 const SNAPSHOT_VERSION: u32 = 1;
 
 const TAG_RELEASE: u8 = 1;
+/// Decode-only: the single-tuple mutation record of older servers.
 const TAG_MUTATION: u8 = 2;
 const TAG_BATCH_MUTATION: u8 = 3;
 
@@ -70,21 +78,12 @@ pub enum DurableRecord {
         /// The published answer; its noisy value replays bit-identically.
         release: Release,
     },
-    /// One effective tuple mutation (no-ops are never logged).
-    Mutation {
-        /// `true` for insert, `false` for remove.
-        insert: bool,
-        /// The mutated relation.
-        relation: String,
-        /// The tuple.
-        tuple: Vec<i64>,
-    },
-    /// One batch mutation: N *effective* same-direction tuples applied
-    /// to one relation as a single logical event. Logged as one record
-    /// so replay re-applies the batch through the same batched engine
-    /// path (one cache-maintenance pass) the live server used — the
-    /// resulting versions match the live run tick-for-tick because only
-    /// effective tuples are logged.
+    /// One mutation (a single-tuple op is a batch of one): N *effective*
+    /// same-direction tuples applied to one relation as a single logical
+    /// event. Logged as one record so replay re-applies the batch through
+    /// the same engine path (one cache-maintenance pass) the live server
+    /// used — the resulting versions match the live run tick-for-tick
+    /// because only effective tuples are logged.
     BatchMutation {
         /// `true` for insert, `false` for remove.
         insert: bool,
@@ -120,19 +119,6 @@ impl DurableRecord {
                 w.f64_bits(release.scale);
                 w.f64_bits(release.epsilon);
                 w.f64_bits(release.expected_error);
-            }
-            DurableRecord::Mutation {
-                insert,
-                relation,
-                tuple,
-            } => {
-                w.u8(TAG_MUTATION);
-                w.u8(u8::from(*insert));
-                w.str(relation);
-                w.u32(tuple.len() as u32);
-                for &v in tuple {
-                    w.i64(v);
-                }
             }
             DurableRecord::BatchMutation {
                 insert,
@@ -201,24 +187,14 @@ impl DurableRecord {
                     ),
                 })
             }
-            TAG_MUTATION => {
+            tag @ (TAG_MUTATION | TAG_BATCH_MUTATION) => {
                 let insert = r.u8().map_err(err)? != 0;
                 let relation = r.str().map_err(err)?;
-                let len = r.u32().map_err(err)?;
-                let mut tuple = Vec::with_capacity(len as usize);
-                for _ in 0..len {
-                    tuple.push(r.i64().map_err(err)?);
-                }
-                Ok(DurableRecord::Mutation {
-                    insert,
-                    relation,
-                    tuple,
-                })
-            }
-            TAG_BATCH_MUTATION => {
-                let insert = r.u8().map_err(err)? != 0;
-                let relation = r.str().map_err(err)?;
-                let count = r.u32().map_err(err)?;
+                let count = if tag == TAG_MUTATION {
+                    1
+                } else {
+                    r.u32().map_err(err)?
+                };
                 let mut tuples = Vec::with_capacity(count as usize);
                 for _ in 0..count {
                     let len = r.u32().map_err(err)?;
@@ -351,7 +327,7 @@ impl Snapshot {
             }
             match DurableRecord::decode(&rec_bytes)? {
                 DurableRecord::Release { key, release, .. } => cache.push((key, release)),
-                DurableRecord::Mutation { .. } | DurableRecord::BatchMutation { .. } => {
+                DurableRecord::BatchMutation { .. } => {
                     return Err("bad snapshot: mutation record in cache section".to_string())
                 }
             }
@@ -546,21 +522,32 @@ mod tests {
         }
     }
 
+    /// The bytes of a tag-2 single-tuple mutation record, as older
+    /// servers wrote them (the encoder for it is gone).
+    fn legacy_mutation_bytes(insert: bool, relation: &str, tuple: &[i64]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.u8(TAG_MUTATION);
+        w.u8(u8::from(insert));
+        w.str(relation);
+        w.u32(tuple.len() as u32);
+        for &v in tuple {
+            w.i64(v);
+        }
+        w.into_bytes()
+    }
+
     #[test]
     fn mutation_record_round_trips() {
-        for rec in [
-            DurableRecord::Mutation {
-                insert: true,
-                relation: "Edge".to_string(),
-                tuple: vec![-5, 7],
-            },
-            DurableRecord::Mutation {
-                insert: false,
-                relation: "Unit".to_string(),
-                tuple: vec![],
-            },
-        ] {
+        for (insert, relation, tuple) in [(true, "Edge", vec![-5, 7]), (false, "Unit", vec![])] {
+            let rec = DurableRecord::BatchMutation {
+                insert,
+                relation: relation.to_string(),
+                tuples: vec![tuple.clone()],
+            };
             assert_eq!(DurableRecord::decode(&rec.encode()).unwrap(), rec);
+            // A legacy single-tuple record reads back as the same batch of one.
+            let legacy = legacy_mutation_bytes(insert, relation, &tuple);
+            assert_eq!(DurableRecord::decode(&legacy).unwrap(), rec);
         }
     }
 
@@ -586,14 +573,17 @@ mod tests {
     fn garbage_records_error_cleanly() {
         assert!(DurableRecord::decode(&[]).is_err());
         assert!(DurableRecord::decode(&[9, 1, 2, 3]).is_err(), "bad tag");
-        let mut ok = DurableRecord::Mutation {
+        let mut ok = DurableRecord::BatchMutation {
             insert: true,
             relation: "R".to_string(),
-            tuple: vec![1],
+            tuples: vec![vec![1]],
         }
         .encode();
         ok.push(0); // trailing byte
         assert!(DurableRecord::decode(&ok).is_err());
+        let mut legacy = legacy_mutation_bytes(true, "R", &[1]);
+        legacy.pop(); // truncated value
+        assert!(DurableRecord::decode(&legacy).is_err());
     }
 
     #[test]
@@ -627,10 +617,10 @@ mod tests {
     #[test]
     fn open_log_reopen_replays_only_post_snapshot_records() {
         let dir = temp_dir("reopen");
-        let rec1 = DurableRecord::Mutation {
+        let rec1 = DurableRecord::BatchMutation {
             insert: true,
             relation: "Edge".to_string(),
-            tuple: vec![1, 2],
+            tuples: vec![vec![1, 2]],
         };
         let rec2 = DurableRecord::Release {
             principal: "alice".to_string(),
@@ -675,10 +665,10 @@ mod tests {
     #[test]
     fn sequence_numbers_stay_monotone_across_snapshots_and_restarts() {
         let dir = temp_dir("seq");
-        let rec = DurableRecord::Mutation {
+        let rec = DurableRecord::BatchMutation {
             insert: true,
             relation: "R".to_string(),
-            tuple: vec![1],
+            tuples: vec![vec![1]],
         };
         let (d, _, _) = Durability::open(&dir).unwrap();
         assert_eq!(d.log_mutation(&rec).unwrap(), 1);
@@ -692,5 +682,71 @@ mod tests {
         assert_eq!(records.len(), 1);
         assert_eq!(d.log_mutation(&rec).unwrap(), 4);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A data directory written by an older server, whose WAL holds a
+    /// tag-2 single-tuple record, recovers exactly like one holding the
+    /// same tuple as a one-tuple `BatchMutation`: same versions,
+    /// generation, contents, and release-cache invalidation.
+    #[test]
+    fn legacy_single_tuple_record_recovers_like_a_batch_of_one() {
+        use crate::{Request, Response, Server, ServerConfig};
+        use dpcq::prelude::*;
+
+        let boot = |dir: &Path| {
+            let mut db = Database::new();
+            for (u, v) in [(1, 2), (2, 3), (3, 1)] {
+                db.insert_tuple("Edge", &[Value(u), Value(v)]);
+                db.insert_tuple("Tag", &[Value(u), Value(v + 10)]);
+            }
+            let config = ServerConfig {
+                default_budget: f64::INFINITY,
+                seed: Some(7),
+                ..ServerConfig::default()
+            };
+            Server::recover(
+                PrivateEngine::new(db, Policy::all_private(), 1.0),
+                config,
+                dir,
+            )
+            .expect("recover")
+        };
+        // Cache one answer per relation, append `record`, crash, recover.
+        let recover_with = |tag: &str, record: Vec<u8>| {
+            let dir = temp_dir(tag);
+            for query in ["Edge", "Tag"] {
+                let frame = format!(r#"{{"op":"release","query":"Q(*) :- {query}(x, y)"}}"#);
+                assert!(boot(&dir).handle_line(&frame).contains(r#""ok":true"#));
+            }
+            let (d, _, _) = Durability::open(&dir).unwrap();
+            d.wal.lock().unwrap().append(&record).unwrap();
+            drop(d);
+            let server = boot(&dir);
+            let Response::Stats {
+                generation,
+                relation_versions,
+                release_cache_entries,
+                ..
+            } = server.handle(Request::Stats { id: None })
+            else {
+                unreachable!()
+            };
+            let image = server.engine().export_image();
+            drop(server);
+            std::fs::remove_dir_all(&dir).unwrap();
+            (generation, relation_versions, release_cache_entries, image)
+        };
+        let legacy = recover_with("legacy", legacy_mutation_bytes(true, "Edge", &[7, 8]));
+        let batch = DurableRecord::BatchMutation {
+            insert: true,
+            relation: "Edge".to_string(),
+            tuples: vec![vec![7, 8]],
+        };
+        assert_eq!(legacy, recover_with("batch", batch.encode()));
+        assert_eq!(legacy.0, 1, "the tuple applied once");
+        assert_eq!(
+            legacy.2, 1,
+            "the Edge answer was invalidated, the Tag one kept"
+        );
     }
 }

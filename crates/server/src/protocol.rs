@@ -39,7 +39,9 @@
 //! (`"changed"` is a count; duplicates within the batch and no-op
 //! tuples are skipped), and the generation still advances once per
 //! effective tuple so read-set stamps match the equivalent single-op
-//! sequence.
+//! sequence. `insert`/`remove` are the single-tuple forms of the same
+//! operation — a batch of one, run through the same path — whose
+//! response carries a boolean `"changed"` instead of a count.
 //!
 //! ## Responses
 //!

@@ -260,39 +260,22 @@ impl Server {
         // the cache entries they invalidated before the crash.
         for record in records {
             match record {
-                DurableRecord::Mutation {
-                    insert,
-                    relation,
-                    tuple,
-                } => {
-                    let row: Vec<Value> = tuple.iter().copied().map(Value).collect();
-                    let changed = if insert {
-                        engine.insert_tuple(&relation, &row)
-                    } else {
-                        engine.remove_tuple(&relation, &row)
-                    };
-                    if changed {
-                        cache.invalidate_relation(&relation, engine.relation_version(&relation));
-                    }
-                }
                 DurableRecord::BatchMutation {
                     insert,
                     relation,
                     tuples,
                 } => {
-                    // Replay through the batched path the live server
-                    // used: only effective tuples were logged, so the
-                    // version advances by the batch size, reproducing
+                    // Replay through the one mutation path the live
+                    // server used: only effective tuples were logged, so
+                    // the version advances by the batch size, reproducing
                     // the live run's stamps.
                     let rows: Vec<Vec<Value>> = tuples
                         .iter()
                         .map(|t| t.iter().copied().map(Value).collect())
                         .collect();
-                    let changed = if insert {
-                        engine.insert_tuples(&relation, &rows)
-                    } else {
-                        engine.remove_tuples(&relation, &rows)
-                    };
+                    let changed = engine
+                        .mutate(&relation, &rows, insert, |_| Ok(()))
+                        .unwrap_or(0);
                     if changed > 0 {
                         cache.invalidate_relation(&relation, engine.relation_version(&relation));
                     }
@@ -443,22 +426,24 @@ impl Server {
                     responses: indexed.into_iter().map(|(_, r)| r).collect(),
                 }
             }
+            // Single-tuple ops are a batch of one; only the response
+            // frame (a boolean `changed`) differs.
             Request::Insert {
                 id,
                 relation,
                 tuple,
-            } => self.handle_mutation(id, "insert", &relation, &tuple),
+            } => self.handle_batch_mutation(id, &relation, &[tuple], true, true),
             Request::Remove {
                 id,
                 relation,
                 tuple,
-            } => self.handle_mutation(id, "remove", &relation, &tuple),
+            } => self.handle_batch_mutation(id, &relation, &[tuple], false, true),
             Request::MutateBatch {
                 id,
                 relation,
                 tuples,
                 insert,
-            } => self.handle_batch_mutation(id, &relation, &tuples, insert),
+            } => self.handle_batch_mutation(id, &relation, &tuples, insert, false),
             Request::Budget { id, principal } => Response::Budget {
                 id,
                 budget: finite(self.budget.budget(&principal)),
@@ -707,128 +692,32 @@ impl Server {
         }
     }
 
-    fn handle_mutation(
-        &self,
-        id: Option<i64>,
-        op: &'static str,
-        relation: &str,
-        tuple: &[i64],
-    ) -> Response {
-        let row: Vec<Value> = tuple.iter().map(|&v| Value(v)).collect();
-        // Poison recovery: same argument as `read_engine` — validation
-        // precedes every state change, so a panicked handler left
-        // nothing torn.
-        let mut engine = self.engine.write().unwrap_or_else(PoisonError::into_inner);
-        if let Some(rel) = engine.database().relation(relation) {
-            if rel.arity() != row.len() {
-                return Response::Error {
-                    id,
-                    error: format!(
-                        "arity mismatch: `{relation}` stores {}-tuples, got {}",
-                        rel.arity(),
-                        row.len()
-                    ),
-                };
-            }
-        }
-        // Durable mode logs write-ahead, and only *effective* mutations:
-        // replay then performs exactly the version bumps the crashed
-        // instance performed, so stamps (and cache keys) reproduce
-        // bit-for-bit. Arity was checked above, so `contains` is safe.
-        if let Some(durability) = &self.durability {
-            let effective = match (op, engine.database().relation(relation)) {
-                ("insert", Some(rel)) => !rel.contains(&row),
-                ("insert", None) => true,
-                (_, Some(rel)) => rel.contains(&row),
-                (_, None) => false,
-            };
-            if effective {
-                let record = DurableRecord::Mutation {
-                    insert: op == "insert",
-                    relation: relation.to_string(),
-                    tuple: tuple.to_vec(),
-                };
-                let _wal = dpcq_obs::Span::enter(dpcq_obs::Stage::WalAppend);
-                if let Err(e) = durability.log_mutation(&record) {
-                    return Response::Error {
-                        id,
-                        error: format!("durability: {e}"),
-                    };
-                }
-            }
-        }
-        let changed = match op {
-            "insert" => engine.insert_tuple(relation, &row),
-            _ => engine.remove_tuple(relation, &row),
-        };
-        let generation = engine.generation();
-        if changed {
-            // The engine dropped the family caches whose read set
-            // contains `relation`; drop the released answers stamped
-            // against its old versions too. Answers whose stamps do not
-            // mention `relation` stay replayable (still under the write
-            // lock, so no release interleaves).
-            self.cache
-                .invalidate_relation(relation, engine.relation_version(relation));
-        }
-        Response::Updated {
-            id,
-            op,
-            changed,
-            generation,
-        }
-    }
-
+    /// Every mutation, single or batch: one engine write lock, one
+    /// [`PrivateEngine::mutate`] call (which alone decides arity and which
+    /// tuples are effective), and — in durable mode — one write-ahead
+    /// `BatchMutation` record of exactly the effective tuples, so replay
+    /// performs the version bumps the live run performed and version
+    /// stamps (hence release-cache keys) reproduce bit-for-bit.
     fn handle_batch_mutation(
         &self,
         id: Option<i64>,
         relation: &str,
         tuples: &[Vec<i64>],
         insert: bool,
+        single: bool,
     ) -> Response {
-        let op: &'static str = if insert {
-            "insert_batch"
-        } else {
-            "remove_batch"
-        };
         let rows: Vec<Vec<Value>> = tuples
             .iter()
             .map(|t| t.iter().map(|&v| Value(v)).collect())
             .collect();
-        // Poison recovery: same argument as `handle_mutation`.
+        // Poison recovery: same argument as `read_engine` — validation
+        // precedes every state change, so a panicked handler left
+        // nothing torn.
         let mut engine = self.engine.write().unwrap_or_else(PoisonError::into_inner);
-        let arity = engine
-            .database()
-            .relation(relation)
-            .map(|rel| rel.arity())
-            .unwrap_or_else(|| rows[0].len());
-        if let Some(bad) = rows.iter().find(|r| r.len() != arity) {
-            return Response::Error {
-                id,
-                error: format!(
-                    "arity mismatch: `{relation}` stores {arity}-tuples, got {}",
-                    bad.len()
-                ),
+        let logged = engine.mutate(relation, &rows, insert, |effective| {
+            let Some(durability) = &self.durability else {
+                return Ok(());
             };
-        }
-        // The WAL is write-ahead and logs only effective tuples, so the
-        // batch's effective subset (deduplicated, no-ops dropped) is
-        // computed before the database changes — replay re-applies
-        // exactly this batch through the same batched engine path.
-        let mut effective: Vec<Vec<Value>> = Vec::new();
-        for row in &rows {
-            if effective.iter().any(|r| r == row) {
-                continue;
-            }
-            let present = engine
-                .database()
-                .relation(relation)
-                .is_some_and(|rel| rel.contains(row));
-            if insert != present {
-                effective.push(row.clone());
-            }
-        }
-        if let (Some(durability), false) = (&self.durability, effective.is_empty()) {
             let record = DurableRecord::BatchMutation {
                 insert,
                 relation: relation.to_string(),
@@ -838,29 +727,43 @@ impl Server {
                     .collect(),
             };
             let _wal = dpcq_obs::Span::enter(dpcq_obs::Stage::WalAppend);
-            if let Err(e) = durability.log_mutation(&record) {
-                return Response::Error {
-                    id,
-                    error: format!("durability: {e}"),
-                };
-            }
-        }
-        let changed = if insert {
-            engine.insert_tuples(relation, &effective)
-        } else {
-            engine.remove_tuples(relation, &effective)
+            durability
+                .log_mutation(&record)
+                .map(drop)
+                .map_err(|e| format!("durability: {e}"))
+        });
+        let changed = match logged {
+            Ok(changed) => changed,
+            Err(error) => return Response::Error { id, error },
         };
-        debug_assert_eq!(changed, effective.len(), "effectiveness was pre-checked");
         let generation = engine.generation();
         if changed > 0 {
+            // The engine patched or dropped the family caches whose read
+            // set contains `relation`; drop the released answers stamped
+            // against its old versions too. Answers whose stamps do not
+            // mention `relation` stay replayable (still under the write
+            // lock, so no release interleaves).
             self.cache
                 .invalidate_relation(relation, engine.relation_version(relation));
         }
-        Response::UpdatedBatch {
-            id,
-            op,
-            changed,
-            generation,
+        if single {
+            Response::Updated {
+                id,
+                op: if insert { "insert" } else { "remove" },
+                changed: changed > 0,
+                generation,
+            }
+        } else {
+            Response::UpdatedBatch {
+                id,
+                op: if insert {
+                    "insert_batch"
+                } else {
+                    "remove_batch"
+                },
+                changed,
+                generation,
+            }
         }
     }
 
@@ -1505,6 +1408,42 @@ mod tests {
         // Nothing changed.
         let stats = server.handle(Request::Stats { id: None });
         assert!(matches!(stats, Response::Stats { generation: 0, .. }));
+    }
+
+    #[test]
+    fn empty_batch_is_rejected_without_logging_or_advancing() {
+        let dir = temp_data_dir("empty-batch");
+        let server = durable_server(f64::INFINITY, &dir);
+        let wal_records = |server: &Server| match server.handle(Request::Stats { id: None }) {
+            Response::Stats {
+                generation,
+                durability: Some(d),
+                ..
+            } => (generation, d.wal_records),
+            other => panic!("{other:?}"),
+        };
+        let before = wal_records(&server);
+        for relation in ["Edge", "Unknown"] {
+            for insert in [true, false] {
+                let r = server.handle(Request::MutateBatch {
+                    id: Some(6),
+                    relation: relation.into(),
+                    tuples: vec![],
+                    insert,
+                });
+                let Response::Error { id, error } = r else {
+                    panic!("{r:?}")
+                };
+                assert_eq!(id, Some(6));
+                assert_eq!(
+                    error, "`tuples` must be non-empty",
+                    "the wire parser's error"
+                );
+            }
+        }
+        assert_eq!(wal_records(&server), before, "no record, no generation");
+        drop(server);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

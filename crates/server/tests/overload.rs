@@ -26,6 +26,15 @@ struct Served {
     addr: String,
 }
 
+/// Kills the server even when a test panics: an orphaned server would
+/// keep the test harness's output pipe open.
+impl Drop for Served {
+    fn drop(&mut self) {
+        self.child.kill().ok();
+        self.child.wait().ok();
+    }
+}
+
 /// Spawns `dpcq serve` on an ephemeral port with `extra` flags appended
 /// (e.g. `--max-inflight 0`), returning the bound address.
 fn spawn_server(table: &Path, data_dir: &Path, extra: &[&str]) -> Served {
@@ -68,17 +77,18 @@ fn spawn_server(table: &Path, data_dir: &Path, extra: &[&str]) -> Served {
 
 /// One request frame in, one response frame out, parsed.
 fn request(addr: &str, frame: &str) -> Json {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("timeout");
-    let mut writer = stream.try_clone().expect("clone socket");
-    writeln!(writer, "{frame}").expect("send frame");
+    try_request(addr, frame).expect("request round trip")
+}
+
+/// [`request`], with transport errors returned: a connection the server
+/// sheds is closed at once, which can fail the write or the read.
+fn try_request(addr: &str, frame: &str) -> std::io::Result<Json> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
+    writeln!(stream.try_clone()?, "{frame}")?;
     let mut line = String::new();
-    BufReader::new(stream)
-        .read_line(&mut line)
-        .expect("read response");
-    Json::parse(&line).unwrap_or_else(|e| panic!("bad response `{line}`: {e}"))
+    BufReader::new(stream).read_line(&mut line)?;
+    Ok(Json::parse(&line).unwrap_or_else(|e| panic!("bad response `{line}`: {e}")))
 }
 
 fn release_frame(query: &str, epsilon: f64) -> String {
@@ -221,10 +231,13 @@ fn connection_cap_answers_overflow_with_one_retryable_frame() {
     drop(parked);
     let mut answered = None;
     for _ in 0..50 {
-        let budget = request(&served.addr, r#"{"op":"budget","principal":"alice"}"#);
-        if budget.get("ok").and_then(Json::as_bool) == Some(true) {
-            answered = Some(budget);
-            break;
+        // Until then a new connection is shed like the overflow one.
+        let budget = try_request(&served.addr, r#"{"op":"budget","principal":"alice"}"#);
+        if let Ok(budget) = budget {
+            if budget.get("ok").and_then(Json::as_bool) == Some(true) {
+                answered = Some(budget);
+                break;
+            }
         }
         std::thread::sleep(Duration::from_millis(100));
     }

@@ -26,10 +26,14 @@
 //!   so a whole serving script sees a reproducible pseudo-random fault
 //!   pattern from a single seed.
 //!
-//! The registry is process-global; tests that arm anything must
-//! serialize through [`with_exclusive`], which also clears the registry
-//! on entry and exit so a panicking test cannot leak armed sites into
-//! its neighbors.
+//! The registry is per thread: arming, hit counts and firing all belong
+//! to the thread that armed them, so tests running in parallel cannot
+//! trip or count each other's sites. Every site is hit on the thread
+//! that handles the request, which for an in-process server is the
+//! caller's. Tests that arm anything still run inside
+//! [`with_exclusive`], which clears the registry on entry and exit so a
+//! panicking test cannot leak armed sites into the next test its thread
+//! runs.
 
 use std::io;
 
@@ -75,6 +79,7 @@ pub use registry::{
 
 #[cfg(feature = "failpoints")]
 mod registry {
+    use std::cell::RefCell;
     use std::sync::{Mutex, PoisonError};
 
     /// One-in-`one_in` seeded failure stream (splitmix64).
@@ -92,17 +97,19 @@ mod registry {
         schedule: Option<Schedule>,
     }
 
-    static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
-        hits: Vec::new(),
-        oneshots: Vec::new(),
-        schedule: None,
-    });
+    thread_local! {
+        static REGISTRY: RefCell<Registry> = const {
+            RefCell::new(Registry {
+                hits: Vec::new(),
+                oneshots: Vec::new(),
+                schedule: None,
+            })
+        };
+    }
 
-    fn lock() -> std::sync::MutexGuard<'static, Registry> {
-        // A panicking test under `with_exclusive` may poison the lock;
-        // the registry is cleared on every `with_exclusive` entry, so
-        // recovering the guard is always safe.
-        REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Runs `f` on the calling thread's registry.
+    fn with_registry<R>(f: impl FnOnce(&mut Registry) -> R) -> R {
+        REGISTRY.with(|reg| f(&mut reg.borrow_mut()))
     }
 
     fn splitmix64(state: &mut u64) -> u64 {
@@ -115,7 +122,10 @@ mod registry {
 
     /// Records a hit of `site` and decides whether it fires.
     pub(super) fn hit(site: &str) -> bool {
-        let mut reg = lock();
+        with_registry(|reg| hit_in(reg, site))
+    }
+
+    fn hit_in(reg: &mut Registry, site: &str) -> bool {
         let n = match reg.hits.iter_mut().find(|(s, _)| s == site) {
             Some((_, n)) => {
                 *n += 1;
@@ -142,51 +152,57 @@ mod registry {
 
     /// Arms `site` to fire on its very next hit.
     pub fn arm_failpoint(site: &str) {
-        let mut reg = lock();
-        let n = reg
-            .hits
-            .iter()
-            .find(|(s, _)| s == site)
-            .map_or(0, |(_, n)| *n);
-        reg.oneshots.push((site.to_string(), n + 1));
+        with_registry(|reg| {
+            let n = reg
+                .hits
+                .iter()
+                .find(|(s, _)| s == site)
+                .map_or(0, |(_, n)| *n);
+            reg.oneshots.push((site.to_string(), n + 1));
+        })
     }
 
     /// Arms `site` to fire on its `nth` hit (1-based, counted since the
     /// last [`clear_failpoints`]).
     pub fn arm_failpoint_nth(site: &str, nth: u64) {
-        lock().oneshots.push((site.to_string(), nth));
+        with_registry(|reg| reg.oneshots.push((site.to_string(), nth)));
     }
 
     /// Arms every site with a deterministic one-in-`one_in` failure
     /// stream derived from `seed`. The same seed over the same hit
     /// sequence reproduces the same fault pattern exactly.
     pub fn seed_failpoints(seed: u64, one_in: u64) {
-        lock().schedule = Some(Schedule {
-            state: seed,
-            one_in,
+        with_registry(|reg| {
+            reg.schedule = Some(Schedule {
+                state: seed,
+                one_in,
+            })
         });
     }
 
     /// Disarms everything and resets every hit counter.
     pub fn clear_failpoints() {
-        let mut reg = lock();
-        reg.hits.clear();
-        reg.oneshots.clear();
-        reg.schedule = None;
+        with_registry(|reg| {
+            reg.hits.clear();
+            reg.oneshots.clear();
+            reg.schedule = None;
+        });
     }
 
     /// Hits of `site` since the last [`clear_failpoints`].
     pub fn fault_hits(site: &str) -> u64 {
-        lock()
-            .hits
-            .iter()
-            .find(|(s, _)| s == site)
-            .map_or(0, |(_, n)| *n)
+        with_registry(|reg| {
+            reg.hits
+                .iter()
+                .find(|(s, _)| s == site)
+                .map_or(0, |(_, n)| *n)
+        })
     }
 
-    /// Runs `f` holding the global failpoint-test lock, with a cleared
-    /// registry on entry and exit. Every test that arms a failpoint must
-    /// run inside this, or parallel tests would trip each other's sites.
+    /// Runs `f` holding the global failpoint-test lock, with the calling
+    /// thread's registry cleared on entry and exit. Every test that arms
+    /// a failpoint runs inside this, so an armed site never outlives its
+    /// test.
     pub fn with_exclusive<R>(f: impl FnOnce() -> R) -> R {
         static EXCLUSIVE: Mutex<()> = Mutex::new(());
         let _guard = EXCLUSIVE.lock().unwrap_or_else(PoisonError::into_inner);

@@ -1,5 +1,6 @@
 //! WAL recovery edge cases, workspace level: a durable server runs a
-//! random op stream while a model tracks the durable-relevant state
+//! random op stream (releases, single-tuple mutations, and batches with
+//! repeated and no-op tuples) while a model tracks the durable-relevant state
 //! (committed spend, relation versions, live cache entries) at every WAL
 //! record boundary. The suite then simulates a crash after *every*
 //! record — copying the snapshot plus a WAL prefix into a fresh
@@ -30,6 +31,13 @@ enum Op {
         insert: bool,
         relation: &'static str,
         tuple: [i64; 2],
+    },
+    /// Insert or remove a batch of tuples in `R` or `S`; batches may
+    /// repeat a tuple and hold no-op tuples.
+    MutateBatch {
+        insert: bool,
+        relation: &'static str,
+        tuples: Vec<[i64; 2]>,
     },
 }
 
@@ -213,6 +221,27 @@ fn check_recovery(dir: &Path, expected: &Checkpoint, context: &str) {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// Applies a mutation to the model database, returning how many tuples
+/// were effective: a repeated or no-op tuple counts nothing, so a single
+/// op and a batch of one count alike.
+fn apply(
+    db: &mut HashSet<(&'static str, [i64; 2])>,
+    insert: bool,
+    relation: &'static str,
+    tuples: &[[i64; 2]],
+) -> usize {
+    tuples
+        .iter()
+        .filter(|&&tuple| {
+            if insert {
+                db.insert((relation, tuple))
+            } else {
+                db.remove(&(relation, tuple))
+            }
+        })
+        .count()
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (
@@ -234,6 +263,23 @@ fn op_strategy() -> impl Strategy<Value = Op> {
                 insert,
                 relation,
                 tuple: [u, v],
+            }),
+        (
+            prop_oneof![Just(true), Just(false)],
+            prop_oneof![Just("R"), Just("S")],
+            proptest::collection::vec((1i64..=3, 1i64..=3), 1..5),
+            prop_oneof![Just(true), Just(false)],
+        )
+            .prop_map(|(insert, relation, tuples, repeat_first)| {
+                let mut tuples: Vec<[i64; 2]> = tuples.into_iter().map(|(u, v)| [u, v]).collect();
+                if repeat_first {
+                    tuples.push(tuples[0]);
+                }
+                Op::MutateBatch {
+                    insert,
+                    relation,
+                    tuples,
+                }
             }),
     ]
 }
@@ -295,13 +341,28 @@ proptest! {
                         Request::Remove { id: None, relation: relation.into(), tuple: tuple.to_vec() }
                     };
                     let resp = server.handle(request);
-                    prop_assert!(matches!(resp, Response::Updated { .. }), "{resp:?}");
-                    let effective = if insert {
-                        db.insert((relation, tuple))
-                    } else {
-                        db.remove(&(relation, tuple))
+                    let Response::Updated { changed, .. } = resp else {
+                        panic!("{resp:?}")
                     };
-                    if effective {
+                    let effective = apply(&mut db, insert, relation, &[tuple]);
+                    prop_assert_eq!(changed, effective > 0, "{:?}", op);
+                    if effective > 0 {
+                        cache.retain(|&(query, _), _| query_reads(query) != relation);
+                    }
+                }
+                Op::MutateBatch { insert, relation, ref tuples } => {
+                    let resp = server.handle(Request::MutateBatch {
+                        id: None,
+                        relation: relation.into(),
+                        tuples: tuples.iter().map(|t| t.to_vec()).collect(),
+                        insert,
+                    });
+                    let Response::UpdatedBatch { changed, .. } = resp else {
+                        panic!("{resp:?}")
+                    };
+                    let effective = apply(&mut db, insert, relation, tuples);
+                    prop_assert_eq!(changed, effective, "{:?}", op);
+                    if effective > 0 {
                         cache.retain(|&(query, _), _| query_reads(query) != relation);
                     }
                 }
