@@ -162,11 +162,11 @@ fn main() {
         push_row("Query result", datum(&|c| fmt_count(c.result as f64)));
         push_row(
             "Smooth sensitivity (SS)",
-            datum(&|c| c.ss.map_or("-".into(), |(v, _)| fmt_count(v))),
+            datum(&|c| c.ss.map_or_else(|| "-".into(), |(v, _)| fmt_count(v))),
         );
         push_row(
             "  SS time",
-            datum(&|c| c.ss.map_or("-".into(), |(_, d)| fmt_secs(d))),
+            datum(&|c| c.ss.map_or_else(|| "-".into(), |(_, d)| fmt_secs(d))),
         );
         push_row("Residual sensitivity (RS)", datum(&|c| fmt_count(c.rs.0)));
         push_row("  RS time", datum(&|c| fmt_secs(c.rs.1)));
@@ -175,17 +175,19 @@ fn main() {
         push_row(
             "RS/SS",
             datum(&|c| {
-                c.ss.map_or("-".into(), |(v, _)| {
-                    format!("{:.2}x", c.rs.0 / v.max(1e-12))
-                })
+                c.ss.map_or_else(
+                    || "-".into(),
+                    |(v, _)| format!("{:.2}x", c.rs.0 / v.max(1e-12)),
+                )
             }),
         );
         push_row(
             "SS/RS time",
             datum(&|c| {
-                c.ss.map_or("-".into(), |(_, d)| {
-                    format!("{:.1}x", d.as_secs_f64() / c.rs.1.as_secs_f64().max(1e-9))
-                })
+                c.ss.map_or_else(
+                    || "-".into(),
+                    |(_, d)| format!("{:.1}x", d.as_secs_f64() / c.rs.1.as_secs_f64().max(1e-9)),
+                )
             }),
         );
         push_row(
@@ -204,7 +206,10 @@ fn main() {
         if want_ratios {
             push_row(
                 "Empirical optimality ratio",
-                datum(&|c| c.ratio_cert.map_or("-".into(), |r| format!("{r:.1}"))),
+                datum(&|c| {
+                    c.ratio_cert
+                        .map_or_else(|| "-".into(), |r| format!("{r:.1}"))
+                }),
             );
         }
         println!("{}", t.render());

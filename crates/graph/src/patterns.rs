@@ -145,10 +145,11 @@ pub fn pair_stats_pareto(g: &Graph) -> Vec<PairStats> {
     }
     // Also a fresh pair attached to the single best vertex (models new
     // vertices from the infinite domain): a = 0, b = d_max.
+    let d_max = g.max_degree() as u32;
     best_b_for_a
         .entry(0)
-        .and_modify(|e| *e = (*e).max(g.max_degree() as u32))
-        .or_insert(g.max_degree() as u32);
+        .and_modify(|e| *e = (*e).max(d_max))
+        .or_insert(d_max);
 
     let mut front: Vec<PairStats> = best_b_for_a
         .into_iter()

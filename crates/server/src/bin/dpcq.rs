@@ -366,7 +366,7 @@ fn serve_main(argv: &[String]) -> ExitCode {
     };
     let bound = listener
         .local_addr()
-        .map_or(addr.to_string(), |a| a.to_string());
+        .map_or_else(|_| addr.to_string(), |a| a.to_string());
     let defaults = ServerConfig::default();
     let max_inflight_releases =
         match flags.get_parsed("max-inflight", defaults.max_inflight_releases) {

@@ -124,12 +124,13 @@ fn serve_scrape(mut stream: std::net::TcpStream) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
     let mut head = [0u8; 1024];
     let _ = stream.read(&mut head);
+    // Head and body go out in one write.
     let body = dpcq_obs::prometheus_text();
-    let _ = write!(
-        stream,
+    let response = format!(
         "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
+    let _ = stream.write_all(response.as_bytes());
 }
 
 #[cfg(test)]

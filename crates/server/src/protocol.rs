@@ -6,6 +6,12 @@
 //! pipelined frames. Every response carries `"ok"`; failures are
 //! `{"ok": false, "error": "..."}` and never change server state.
 //!
+//! Pipelining: a connection answers one response line per request line,
+//! in request order, and sends each response as soon as it is ready (the
+//! socket sets `TCP_NODELAY`; responses are never held back to be
+//! coalesced). A client may keep many frames in flight and match the
+//! answers by `id`.
+//!
 //! ## Requests
 //!
 //! ```text

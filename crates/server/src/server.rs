@@ -806,14 +806,15 @@ impl Server {
             if self.overload.connections.load(Ordering::SeqCst) >= self.config.max_connections {
                 self.overload.shed_requests.fetch_add(1, Ordering::SeqCst);
                 dpcq_obs::inc_event(dpcq_obs::Event::Shed);
-                let frame = Response::Overloaded {
+                let mut frame = Response::Overloaded {
                     id: None,
                     retry_after_ms: self.config.retry_after_ms,
                 }
                 .render_line();
+                frame.push('\n');
                 let _ = stream
                     .set_write_timeout(Some(Duration::from_millis(self.config.write_timeout_ms)));
-                let _ = writeln!(stream, "{frame}");
+                let _ = stream.write_all(frame.as_bytes());
                 continue;
             }
             self.overload.connections.fetch_add(1, Ordering::SeqCst);
@@ -852,7 +853,11 @@ impl Server {
         // time out too: a client that stops draining its socket blocks
         // only this thread, and only `write_timeout_ms` per frame —
         // combined with the fixed-capacity buffer below, a slow reader
-        // can pin at most one buffered frame of memory.
+        // can pin at most one buffered frame of memory. `TCP_NODELAY`:
+        // each response leaves as soon as it is flushed; with Nagle on, a
+        // pipelined burst's second response would wait for the client's
+        // (delayed, ~40 ms) ACK of the first.
+        let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
         let _ = stream.set_write_timeout(Some(Duration::from_millis(self.config.write_timeout_ms)));
         let Ok(read_half) = stream.try_clone() else {

@@ -21,6 +21,8 @@
 //! round-trip through `render_compact` → `parse` unchanged (pinned by
 //! tests here and in `dpcq_server::protocol`).
 
+use std::fmt::Write as _;
+
 /// A minimal JSON document.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -133,7 +135,9 @@ impl Json {
                 '\n' => out.push_str("\\n"),
                 '\r' => out.push_str("\\r"),
                 '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
                 c => out.push(c),
             }
         }
@@ -144,9 +148,9 @@ impl Json {
         // Keep a decimal point on integral floats so a parse round-trip
         // preserves the Int/Num distinction.
         if f.is_finite() && f.fract() == 0.0 && f.abs() < 1e15 {
-            out.push_str(&format!("{f:.1}"));
+            let _ = write!(out, "{f:.1}");
         } else if f.is_finite() {
-            out.push_str(&format!("{f}"));
+            let _ = write!(out, "{f}");
         } else {
             out.push_str("null");
         }
@@ -157,7 +161,9 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => out.push_str(&i.to_string()),
+            Json::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
             Json::Num(f) => Json::write_num(*f, out),
             Json::Str(s) => Json::escape(s, out),
             Json::Arr(items) => {
@@ -197,7 +203,9 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => out.push_str(&i.to_string()),
+            Json::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
             Json::Num(f) => Json::write_num(*f, out),
             Json::Str(s) => Json::escape(s, out),
             Json::Arr(items) => {
@@ -342,10 +350,22 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Runs of unescaped printable ASCII are copied in one piece;
+            // control bytes, escapes and multi-byte UTF-8 go byte by byte
+            // below.
+            let rest = self.bytes.get(self.pos..).unwrap_or_default();
+            let run = rest
+                .iter()
+                .take_while(|&&b| (0x20..0x7f).contains(&b) && b != b'"' && b != b'\\')
+                .count();
+            if run > 0 {
+                out.push_str(std::str::from_utf8(&rest[..run]).map_err(|e| e.to_string())?);
+                self.pos += run;
+            }
             let b = *self
                 .bytes
                 .get(self.pos)
-                .ok_or("unterminated string".to_string())?;
+                .ok_or_else(|| "unterminated string".to_string())?;
             self.pos += 1;
             match b {
                 b'"' => return Ok(out),
@@ -353,7 +373,7 @@ impl Parser<'_> {
                     let e = *self
                         .bytes
                         .get(self.pos)
-                        .ok_or("unterminated escape".to_string())?;
+                        .ok_or_else(|| "unterminated escape".to_string())?;
                     self.pos += 1;
                     match e {
                         b'"' => out.push('"'),
@@ -368,7 +388,7 @@ impl Parser<'_> {
                             let hex = self
                                 .bytes
                                 .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape".to_string())?;
+                                .ok_or_else(|| "truncated \\u escape".to_string())?;
                             let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
                             let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                             self.pos += 4;
@@ -391,7 +411,7 @@ impl Parser<'_> {
                     let chunk = self
                         .bytes
                         .get(start..start + len)
-                        .ok_or("truncated utf-8".to_string())?;
+                        .ok_or_else(|| "truncated utf-8".to_string())?;
                     out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
                     self.pos = start + len;
                 }
@@ -723,5 +743,148 @@ mod tests {
     fn bool_view() {
         assert_eq!(Json::Bool(true).as_bool(), Some(true));
         assert_eq!(Json::Int(1).as_bool(), None);
+    }
+
+    // The byte-pinning tests below hold the exact renderings and parse
+    // results of the original `format!`/per-byte codec, so a faster
+    // codec cannot change a wire frame or an error text.
+
+    #[test]
+    fn int_renderings_are_pinned() {
+        for (i, text) in [
+            (i128::MIN, "-170141183460469231731687303715884105728"),
+            (i128::MAX, "170141183460469231731687303715884105727"),
+            (0, "0"),
+            (-1, "-1"),
+            (-42, "-42"),
+            (1_000_000_007, "1000000007"),
+        ] {
+            assert_eq!(Json::Int(i).render_compact(), text);
+            assert_eq!(Json::Int(i).render(), format!("{text}\n"));
+        }
+    }
+
+    #[test]
+    fn num_renderings_are_pinned() {
+        let zeros = |n: usize| "0".repeat(n);
+        let cases = [
+            (0.0, "0.0".to_string()),
+            (-0.0, "-0.0".to_string()),
+            (-3.0, "-3.0".to_string()),
+            (1e14, "100000000000000.0".to_string()),
+            // From 1e15 up integral floats lose the decimal point.
+            (1e15, "1000000000000000".to_string()),
+            (-1e15, "-1000000000000000".to_string()),
+            (1e16, "10000000000000000".to_string()),
+            (9.999999999999998e14, "999999999999999.8".to_string()),
+            (2.5, "2.5".to_string()),
+            (1.5e-3, "0.0015".to_string()),
+            (0.1, "0.1".to_string()),
+            (123456789.125, "123456789.125".to_string()),
+            (1e300, format!("1{}", zeros(300))),
+            (f64::MAX, format!("17976931348623157{}", zeros(292))),
+            // Subnormals and the smallest normal.
+            (5e-324, format!("0.{}5", zeros(323))),
+            (
+                2.225073858507201e-308,
+                format!("0.{}2225073858507201", zeros(307)),
+            ),
+            (-1e-310, format!("-0.{}1", zeros(309))),
+            (
+                f64::MIN_POSITIVE,
+                format!("0.{}22250738585072014", zeros(307)),
+            ),
+            (f64::NAN, "null".to_string()),
+            (f64::INFINITY, "null".to_string()),
+            (f64::NEG_INFINITY, "null".to_string()),
+        ];
+        for (f, text) in cases {
+            assert_eq!(Json::Num(f).render_compact(), text, "rendering {f:e}");
+        }
+    }
+
+    #[test]
+    fn string_renderings_are_pinned() {
+        for (raw, text) in [
+            ("a\u{1}b\u{1f}\t\u{7f}", "\"a\\u0001b\\u001f\\t\u{7f}\""),
+            ("é\"€\\😀\n\u{0}x", "\"é\\\"€\\\\😀\\n\\u0000x\""),
+            ("\r\"", "\"\\r\\\"\""),
+            ("plain ascii", "\"plain ascii\""),
+            ("", "\"\""),
+        ] {
+            assert_eq!(Json::Str(raw.into()).render_compact(), text);
+        }
+    }
+
+    #[test]
+    fn string_parses_are_pinned() {
+        let long = "a".repeat(70);
+        let cases = [
+            // Long ASCII runs next to escapes.
+            (
+                format!("\"{long}\\n{long}\\\"x\\\\\""),
+                format!("{long}\n{long}\"x\\"),
+            ),
+            // `\u` escapes at both ends of a run.
+            ("\"abc\\u00e9def\\u0041\"".into(), "abcédefA".into()),
+            ("\"\\u0041abc\\u20ac\"".into(), "Aabc€".into()),
+            // 2-, 3- and 4-byte UTF-8 after, before and between runs.
+            ("\"xyzé€😀tail\"".into(), "xyzé€😀tail".into()),
+            ("\"éhead€mid😀\"".into(), "éhead€mid😀".into()),
+            // Raw control bytes (and DEL) are accepted as they are.
+            (
+                "\"a\u{1}b\tc\u{7f}d\u{1f}\"".into(),
+                "a\u{1}b\tc\u{7f}d\u{1f}".into(),
+            ),
+            (
+                "\"~ !#$%&'()*+,-./0123456789:;<=>?@[]^_`{|}\"".into(),
+                "~ !#$%&'()*+,-./0123456789:;<=>?@[]^_`{|}".into(),
+            ),
+            ("\"\\/\\b\\f\\r\"".into(), "/\u{8}\u{c}\r".into()),
+            ("\"\\ud83d\"".into(), "\u{fffd}".into()),
+            ("\"\\u+041\"".into(), "A".into()),
+            ("\"\"".into(), String::new()),
+        ];
+        for (text, want) in cases {
+            assert_eq!(Json::parse(&text), Ok(Json::Str(want)), "parsing {text:?}");
+        }
+        assert_eq!(
+            Json::parse("{\"kéy\":\"v\"}"),
+            Ok(Json::Obj(vec![("kéy".into(), Json::Str("v".into()))]))
+        );
+    }
+
+    #[test]
+    fn parse_error_texts_are_pinned() {
+        for (text, err) in [
+            ("\"abc", "unterminated string"),
+            ("\"abc\\", "unterminated escape"),
+            ("\"ab\\u12", "truncated \\u escape"),
+            ("\"ab\\u12\"", "truncated \\u escape"),
+            ("\"ab\\x\"", "bad escape at byte 5"),
+            ("\"\\ué€\"", "incomplete utf-8 byte sequence from index 2"),
+            ("\"\\u00é\"", "invalid digit found in string"),
+            ("\"abc\" x", "trailing data at byte 6"),
+        ] {
+            assert_eq!(Json::parse(text), Err(err.to_string()), "parsing {text:?}");
+        }
+        // Truncated and invalid UTF-8 cannot reach `Json::parse` (it takes
+        // a `&str`), so drive the string reader on raw bytes.
+        for (bytes, err) in [
+            (&b"\"ab\xc3"[..], "truncated utf-8"),
+            (b"\"\xe2\x82", "truncated utf-8"),
+            (b"\"a\xf0\x9f\x98", "truncated utf-8"),
+            (
+                b"\"\x80abc\"",
+                "invalid utf-8 sequence of 1 bytes from index 0",
+            ),
+            (
+                b"\"\xc3\x28\"",
+                "invalid utf-8 sequence of 1 bytes from index 0",
+            ),
+        ] {
+            let mut parser = Parser { bytes, pos: 0 };
+            assert_eq!(parser.string(), Err(err.to_string()), "reading {bytes:?}");
+        }
     }
 }

@@ -379,3 +379,84 @@ fn batched_releases_share_the_family_store() {
     let spent = server.budget().spent("default");
     assert!((spent - 1.2).abs() < 1e-9, "spent {spent}");
 }
+
+/// Pipelined frames are answered in request order without a batching
+/// stall. With Nagle's algorithm on the served socket, each response
+/// after the first in a burst waits for the client's delayed ACK of the
+/// one before (~40 ms on Linux loopback), so a burst of 8 cheap frames
+/// took ~40 ms instead of well under one.
+#[test]
+fn pipelined_bursts_do_not_stall() {
+    let server = Arc::new(Server::new(
+        PrivateEngine::new(sym_db(), Policy::all_private(), 1.0).with_threads(1),
+        ServerConfig {
+            default_epsilon: 1.0,
+            default_budget: f64::INFINITY,
+            seed: Some(11),
+            ..ServerConfig::default()
+        },
+    ));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let serve_thread = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.serve(listener).expect("serve"))
+    };
+    let mut client = Client::connect(addr);
+    // The client sends each burst in one segment, so any delay measured
+    // is the server's.
+    client.writer.set_nodelay(true).expect("client nodelay");
+    let replay = |id: usize| format!(r#"{{"op":"release","query":"{TRIANGLE}","id":{id}}}"#);
+
+    // Warm-up, one frame at a time: publishes the key and takes the
+    // connection out of the kernel's quick-ACK start-up phase.
+    let (_, first) = client.roundtrip(&replay(0));
+    assert_ok(&first);
+    for id in 1..20 {
+        let (_, json) = client.roundtrip(&replay(id));
+        assert_eq!(json.get("cached").and_then(Json::as_bool), Some(true));
+    }
+
+    const BURST: usize = 8;
+    let mut burst_ms = Vec::new();
+    for burst in 0..20 {
+        let ids: Vec<usize> = (0..BURST).map(|i| 1000 * (burst + 1) + i).collect();
+        let frames: String = ids
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| {
+                if i % 2 == 0 {
+                    format!("{}\n", replay(id))
+                } else {
+                    format!("{{\"op\":\"budget\",\"principal\":\"default\",\"id\":{id}}}\n")
+                }
+            })
+            .collect();
+        let start = std::time::Instant::now();
+        client
+            .writer
+            .write_all(frames.as_bytes())
+            .expect("write burst");
+        for &id in &ids {
+            let mut line = String::new();
+            client.reader.read_line(&mut line).expect("read response");
+            let json = Json::parse(line.trim_end()).expect("response parses");
+            assert_ok(&json);
+            assert_eq!(
+                json.get("id").and_then(Json::as_i128),
+                Some(id as i128),
+                "responses come back in request order"
+            );
+        }
+        burst_ms.push(start.elapsed().as_secs_f64() * 1e3);
+    }
+    burst_ms.sort_by(f64::total_cmp);
+    let median = burst_ms[burst_ms.len() / 2];
+    assert!(
+        median < 20.0,
+        "median pipelined burst took {median:.1} ms (all: {burst_ms:?})"
+    );
+
+    client.roundtrip(r#"{"op":"shutdown"}"#);
+    serve_thread.join().expect("serve exits");
+}
