@@ -174,9 +174,10 @@ pub struct PrivateEngine {
     /// patched. Keyed by the query's canonical rendering
     /// ([`ConjunctiveQuery`]'s `Display`).
     caches: Mutex<FxHashMap<String, ShapeCache>>,
-    /// Engine-global delta counters (successful passes / fallbacks
-    /// including wholesale drops of dirty shapes / patched rows). Unlike
-    /// the per-cache [`FamilyStats`] these survive cache retirement.
+    /// The delta counters, one count per dirty shape (patched in place /
+    /// dropped, for whatever reason / patched rows). They survive cache
+    /// retirement, and `absorb_mutation` raises the matching
+    /// `DeltaApplied`/`DeltaFallback` telemetry events beside them.
     delta_applied: AtomicU64,
     delta_fallback: AtomicU64,
     delta_rows: AtomicU64,
@@ -570,6 +571,7 @@ impl PrivateEngine {
                     DeltaOutcome::Applied { rows } => {
                         self.delta_applied.fetch_add(1, Ordering::Relaxed);
                         self.delta_rows.fetch_add(rows, Ordering::Relaxed);
+                        dpcq_obs::inc_event(dpcq_obs::Event::DeltaApplied);
                         true
                     }
                     DeltaOutcome::Fallback => false,
@@ -577,6 +579,7 @@ impl PrivateEngine {
             };
             if !keep {
                 self.delta_fallback.fetch_add(1, Ordering::Relaxed);
+                dpcq_obs::inc_event(dpcq_obs::Event::DeltaFallback);
                 caches.remove(key);
             }
         }
@@ -1194,7 +1197,7 @@ mod tests {
         assert!(engine.insert_tuple("Edge", &[Value(4), Value(1)]));
         assert_eq!(engine.generation(), 2);
         let patched = engine.family_stats(&q);
-        assert_eq!(patched.delta_applied, 2, "stats {patched:?}");
+        assert_eq!(engine.delta_stats().0, 2, "stats {patched:?}");
         assert_eq!(patched.factor_misses, warmed.factor_misses);
         assert_eq!(patched.values_computed, 0, "stats {patched:?}");
         // Adding {1,4} completes K4: 4 triangles × 6 orderings.
@@ -1208,7 +1211,6 @@ mod tests {
         assert!(!engine.remove_tuple("Edge", &[Value(9), Value(9)]));
         assert_eq!(engine.generation(), 4);
         assert_eq!(engine.true_count(&q).unwrap(), 12);
-        assert_eq!(engine.family_stats(&q).delta_applied, 4);
         assert_eq!(engine.delta_stats(), (4, 0, engine.delta_stats().2));
 
         // The patched engine is observationally identical to one built
@@ -1264,7 +1266,7 @@ mod tests {
         // memoized factors survive, the residual value cache is rebuilt.
         assert!(engine.insert_tuple("Edge", &[Value(8), Value(9)]));
         let after_delta = engine.family_stats(&q);
-        assert_eq!(after_delta.delta_applied, 1, "stats {after_delta:?}");
+        assert_eq!(engine.delta_stats().0, 1, "stats {after_delta:?}");
         assert_eq!(after_delta.factor_misses, warmed.factor_misses);
         assert_eq!(after_delta.values_computed, 0);
     }

@@ -498,7 +498,7 @@ impl<'a> Evaluator<'a> {
     /// The boundary count factor behind `T_E`: one row per boundary
     /// valuation `t` with annotation `|q_E(I) ⋈ t|` (projected counts for
     /// non-full queries). `T_E` is its maximum annotation; the paper's
-    /// witness `t_E(I)` is its argmax (see [`Evaluator::t_e_witness`]).
+    /// witness `t_E(I)` is its argmax.
     pub fn boundary_factor(&self, subset: &[usize]) -> Result<Factor, EvalError> {
         self.boundary_factor_memo(None, subset)
     }
@@ -533,15 +533,6 @@ impl<'a> Evaluator<'a> {
                 Ok(f.eliminate(&drop, Semiring::Counting))
             }
         }
-    }
-
-    /// The witness `t_E(I)`: a boundary valuation achieving `T_E(I)`,
-    /// together with the value. `None` when the boundary factor is empty.
-    pub fn t_e_witness(&self, subset: &[usize]) -> Result<Option<(Vec<Value>, u128)>, EvalError> {
-        let f = self.boundary_factor(subset)?;
-        Ok(f.iter()
-            .max_by_key(|&(_, w)| w)
-            .map(|(row, w)| (row.to_vec(), w)))
     }
 
     /// Refuses comparison predicates that span the residual boundary
@@ -1177,16 +1168,6 @@ mod tests {
         let ev = Evaluator::new(&q, &db).unwrap();
         // Boundary empty: T = |q(I)| = 3.
         assert_eq!(ev.t_e(&[0, 1]).unwrap(), 3);
-    }
-
-    #[test]
-    fn te_witness_matches_max() {
-        let q = parse_query("Q(*) :- Edge(x, y), Edge(y, z)").unwrap();
-        let db = path_db();
-        let ev = Evaluator::new(&q, &db).unwrap();
-        let (row, w) = ev.t_e_witness(&[0]).unwrap().unwrap();
-        assert_eq!(w, 2);
-        assert_eq!(row, vec![Value(3)]); // y = 3 has in-degree 2
     }
 
     #[test]

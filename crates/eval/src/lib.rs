@@ -29,11 +29,7 @@
 //! * [`naive`] — a nested-loop reference evaluator used to validate the
 //!   engine in tests;
 //! * [`active_domain`] — the augmented active domain `Z+(q, I)` of
-//!   Section 5.2 and comparison-predicate materialization;
-//! * [`generic`] — the exponential-time algorithm of Section 5.1 for
-//!   arbitrary computable predicates, parameterized by a satisfiability
-//!   oracle, plus [`order_csp`], a difference-constraint solver serving as
-//!   the oracle for inequality/comparison systems.
+//!   Section 5.2 and comparison-predicate materialization.
 
 pub mod active_domain;
 pub mod cancel;
@@ -43,9 +39,7 @@ pub mod error;
 pub mod evaluator;
 pub mod factor;
 pub mod family;
-pub mod generic;
 pub mod naive;
-pub mod order_csp;
 
 pub use cancel::CancelToken;
 pub use error::EvalError;

@@ -200,9 +200,12 @@ pub enum Event {
     CancelTrip,
     /// Request that crossed the `--slow-ms` threshold.
     SlowQuery,
-    /// Mutation absorbed in place by a semi-naive delta pass.
+    /// Dirty shape whose cache absorbed a mutation in place by a
+    /// semi-naive delta pass.
     DeltaApplied,
-    /// Delta pass refused wholesale (cache dropped and rebuilt).
+    /// Dirty shape whose cache was dropped instead of patched (delta
+    /// refused, stale stamp, or comparison-materialized shape); the
+    /// `stats` frame's `delta.fallback` counts the same thing.
     DeltaFallback,
 }
 

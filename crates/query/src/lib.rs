@@ -23,7 +23,6 @@ pub mod analysis;
 pub mod builder;
 pub mod cq;
 pub mod error;
-pub mod hypergraph;
 pub mod parser;
 pub mod policy;
 pub mod predicate;

@@ -4,9 +4,9 @@
 //! variables. This crate ships the two families the paper gives
 //! polynomial-time algorithms for — **inequalities** (`≠`) and
 //! **comparisons** (`<`, `≤` and flips) — between two variables or a
-//! variable and a constant. Arbitrary computable predicates (Section 5.1)
-//! are supported at the evaluation layer through the
-//! `dpcq_eval::generic::GenericPredicate` trait.
+//! variable and a constant. Only these are supported: the exponential
+//! algorithm of Section 5.1 for arbitrary computable predicates is not
+//! implemented.
 
 use crate::cq::{Term, VarId};
 use dpcq_relation::Value;
@@ -146,17 +146,6 @@ impl Predicate {
         self.op.apply(a, b)
     }
 
-    /// Evaluates under a partial assignment; returns `None` if a mentioned
-    /// variable is unbound.
-    #[inline]
-    pub fn eval_partial<F: Fn(VarId) -> Option<Value>>(&self, lookup: F) -> Option<bool> {
-        let get = |t: Term| match t {
-            Term::Var(v) => lookup(v),
-            Term::Const(c) => Some(c),
-        };
-        Some(self.op.apply(get(self.lhs)?, get(self.rhs)?))
-    }
-
     /// Pretty-printer with a variable-name resolver.
     pub fn display<'a, F>(&'a self, name: F) -> PredicateDisplay<'a, F>
     where
@@ -229,17 +218,6 @@ mod tests {
         assert!(p.eval(|_| Value(3)));
         assert!(!p.eval(|_| Value(10)));
         assert_eq!(p.variables(), vec![VarId(0)]);
-    }
-
-    #[test]
-    fn eval_partial_detects_unbound() {
-        let p = Predicate::neq(VarId(0), VarId(1));
-        assert_eq!(p.eval_partial(|_| None), None);
-        assert_eq!(
-            p.eval_partial(|v| (v == VarId(0)).then_some(Value(1))),
-            None
-        );
-        assert_eq!(p.eval_partial(|_| Some(Value(1))), Some(false));
     }
 
     #[test]

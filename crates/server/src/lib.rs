@@ -66,4 +66,4 @@ pub use budget::{BudgetAccountant, BudgetError, Reservation};
 pub use cache::{ReleaseCache, ReleaseKey};
 pub use durability::{Durability, DurabilityStats, DurableRecord};
 pub use protocol::{OverloadStats, ReleaseRequest, Request, Response};
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, MIN_EPSILON};

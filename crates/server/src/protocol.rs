@@ -30,7 +30,8 @@
 //!
 //! `release` defaults: `principal` = `"default"`, `method` = `"residual"`
 //! (any [`SensitivityMethod::name`], plus the `global` alias), `epsilon` =
-//! the server's configured default. `batch` accepts only `release`
+//! the server's configured default (finite and at least
+//! [`MIN_EPSILON`](crate::MIN_EPSILON)). `batch` accepts only `release`
 //! sub-requests (mutations order-depend; a batch is one unordered group).
 //! `release` may also carry `"deadline_ms"` (non-negative integer): a
 //! per-request evaluation deadline, overriding the server default — and

@@ -53,6 +53,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
+/// The smallest per-release ε the server calibrates noise for. The
+/// residual and elastic sensitivities scan `k` up to a cutoff
+/// proportional to `1/β = 10/ε` (Lemma 3.10), so a tiny ε would exhaust
+/// time and memory before any noise is drawn, and one whose `β`
+/// underflows makes the noise scale infinite. At this floor the scan
+/// stays in the tens of thousands of steps, and the noise is already
+/// about 10⁴ times the sensitivity.
+pub const MIN_EPSILON: f64 = 1e-3;
+
 /// Serving-policy knobs.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -558,6 +567,11 @@ impl Server {
                 "epsilon must be positive and finite, got {epsilon}"
             ));
         }
+        if epsilon < MIN_EPSILON {
+            return err(format!(
+                "epsilon must be at least {MIN_EPSILON}, got {epsilon}"
+            ));
+        }
         let query = match parse_query(&r.query) {
             Ok(q) => q,
             Err(e) => return err(format!("query does not parse: {e}")),
@@ -606,10 +620,12 @@ impl Server {
         drop(admission);
         // The deadline clock starts at admission, not at reservation:
         // everything from here on is work the deadline is meant to bound.
-        let cancel = match r.deadline_ms.or(self.config.default_deadline_ms) {
-            Some(ms) => CancelToken::with_deadline(Instant::now() + Duration::from_millis(ms)),
-            None => CancelToken::never(),
-        };
+        // A deadline past the clock's range is no deadline at all.
+        let cancel = r
+            .deadline_ms
+            .or(self.config.default_deadline_ms)
+            .and_then(|ms| Instant::now().checked_add(Duration::from_millis(ms)))
+            .map_or_else(CancelToken::never, CancelToken::with_deadline);
         let reservation = {
             let _reserve = trace.span(dpcq_obs::Stage::Reserve);
             match self.budget.reserve(&r.principal, epsilon) {
@@ -1663,6 +1679,48 @@ mod tests {
             "{ok:?}"
         );
         assert!((server.budget().spent("p") - 0.5).abs() < 1e-9);
+    }
+
+    /// A positive but tiny ε used to reach calibration: with `GlobalLaplace`
+    /// the noise scale `GS/ε` overflowed and the sampler panicked while
+    /// holding the RNG lock; with `Residual` the `k` cutoff (∝ 1/β)
+    /// overflowed `usize`. Both are now refused before any ε is
+    /// reserved, and a deadline past the clock's range means no deadline.
+    #[test]
+    fn tiny_epsilon_is_refused_before_calibration() {
+        let server = test_server(1.0);
+        for (method, epsilon) in [
+            (SensitivityMethod::GlobalLaplace, 5e-324),
+            (SensitivityMethod::Residual, f64::MIN_POSITIVE),
+        ] {
+            let r = server.handle(Request::Release(ReleaseRequest {
+                id: None,
+                principal: "p".into(),
+                query: TRIANGLE.into(),
+                method,
+                epsilon: Some(epsilon),
+                deadline_ms: Some(u64::MAX),
+                trace: false,
+            }));
+            let Response::Error { error, .. } = r else {
+                panic!("{r:?}")
+            };
+            assert!(error.contains("at least"), "{error}");
+        }
+        assert_eq!(server.budget().spent("p"), 0.0);
+        let ok = server.handle(Request::Release(ReleaseRequest {
+            id: None,
+            principal: "p".into(),
+            query: TRIANGLE.into(),
+            method: SensitivityMethod::GlobalLaplace,
+            epsilon: Some(MIN_EPSILON),
+            deadline_ms: Some(u64::MAX),
+            trace: false,
+        }));
+        assert!(
+            matches!(ok, Response::Release { cached: false, .. }),
+            "{ok:?}"
+        );
     }
 
     /// Satellite 3: a handler that panics while holding the engine

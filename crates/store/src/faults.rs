@@ -16,12 +16,13 @@
 //! likewise inert — the feature is enabled through dev-dependencies so
 //! `cargo test` can drive it while `cargo build --release` cannot.
 //!
-//! Two arming modes, both deterministic:
+//! Two arming modes, both deterministic (their functions exist only with
+//! the feature on):
 //!
-//! * **One-shot** ([`arm_failpoint`] / [`arm_failpoint_nth`]): fire on
+//! * **One-shot** (`arm_failpoint` / `arm_failpoint_nth`): fire on
 //!   an exact hit ordinal of one site — the workhorse of the
 //!   "fail at every site × every operation" chaos sweep.
-//! * **Seeded schedule** ([`seed_failpoints`]): a splitmix64 stream
+//! * **Seeded schedule** (`seed_failpoints`): a splitmix64 stream
 //!   decides at every hit of every site whether to fire (one-in-`N`),
 //!   so a whole serving script sees a reproducible pseudo-random fault
 //!   pattern from a single seed.
@@ -31,7 +32,7 @@
 //! trip or count each other's sites. Every site is hit on the thread
 //! that handles the request, which for an in-process server is the
 //! caller's. Tests that arm anything still run inside
-//! [`with_exclusive`], which clears the registry on entry and exit so a
+//! `with_exclusive`, which clears the registry on entry and exit so a
 //! panicking test cannot leak armed sites into the next test its thread
 //! runs.
 
